@@ -35,11 +35,12 @@ use crate::txn::lock::{LockGuard, LockTable};
 use crate::txn::{SavepointMark, TxnState, UndoEntry};
 use crate::value::Value;
 
-/// Plans deeper than this run their pull pipeline on a dedicated thread with
-/// a large stack. The translator emits one CTE (join + aggregate + project)
-/// per gate, so plan depth grows linearly with circuit length, and both
-/// executors keep one live frame set per pipeline stage while the top
-/// aggregate's consume phase is in flight.
+/// Plans deeper than this are optimized and executed on a dedicated thread
+/// with a large stack. The translator emits one CTE (join + aggregate +
+/// project) per gate, so plan depth grows linearly with circuit length;
+/// the optimizer recurses once per plan node, and both executors keep one
+/// live frame set per pipeline stage while the top aggregate's consume
+/// phase is in flight.
 const DEEP_PLAN_DEPTH: usize = 64;
 
 /// Stack size for the dedicated execution thread (fits thousands of gates).
@@ -47,7 +48,8 @@ const EXEC_STACK_BYTES: usize = 512 * 1024 * 1024;
 
 /// Run `f` on the caller's stack for shallow plans, or on a dedicated
 /// big-stack thread for deep ones (a CTE chain of hundreds of gates would
-/// otherwise overflow the default thread stack mid-pipeline).
+/// otherwise overflow the default thread stack while being rewritten,
+/// executed or dropped — each recurses once per plan node).
 fn with_exec_stack<T: Send>(depth: usize, f: impl FnOnce() -> T + Send) -> T {
     if depth <= DEEP_PLAN_DEPTH {
         return f();
@@ -65,6 +67,13 @@ fn with_exec_stack<T: Send>(depth: usize, f: impl FnOnce() -> T + Send) -> T {
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     })
+}
+
+/// Optimize a freshly planned query and hand it to `f`, both on the stack
+/// [`with_exec_stack`] picks for the plan's depth. The plan is dropped
+/// there too.
+fn with_optimized<T: Send>(plan: Plan, f: impl FnOnce(Plan) -> T + Send) -> T {
+    with_exec_stack(plan.depth(), move || f(optimize(plan)))
 }
 
 /// Which physical execution path queries run on.
@@ -716,11 +725,11 @@ impl Database {
         let Statement::Query(q) = st else {
             return Err(Error::Plan("EXPLAIN ANALYZE requires a query".into()));
         };
-        let plan = optimize(plan_query(&q, &self.catalog)?);
+        let plan = plan_query(&q, &self.catalog)?;
         let _grant = self.admission.admit()?;
         let query = self.begin_query();
         query.check()?;
-        let (nodes, total_rows) = with_exec_stack(plan.depth(), || {
+        let (nodes, total_rows) = with_optimized(plan, |plan| {
             let stats = Rc::new(RefCell::new(Vec::new()));
             let mut ctx = self.ctx();
             ctx.instrument = Some(Rc::clone(&stats));
@@ -1359,28 +1368,25 @@ impl Database {
                 Ok(ResultSet::dml(n))
             }
             Statement::Explain(q) => {
-                let plan = optimize(plan_query(&q, &self.catalog)?);
-                let rows: Vec<Row> = plan
-                    .explain()
+                let text = with_optimized(plan_query(&q, &self.catalog)?, |plan| plan.explain());
+                let rows: Vec<Row> = text
                     .lines()
                     .map(|l| vec![Value::Str(l.to_string())])
                     .collect();
                 Ok(ResultSet { columns: vec!["plan".to_string()], rows, affected: 0 })
             }
             Statement::Query(q) => {
-                let plan = optimize(plan_query(&q, &self.catalog)?);
-                let schema = plan.schema();
-                let rows = with_exec_stack(plan.depth(), || {
+                let (columns, rows) = with_optimized(plan_query(&q, &self.catalog)?, |plan| {
                     let ctx = self.ctx();
                     let mut stream = self.build_row_source(&plan, &ctx)?;
                     let mut rows = Vec::new();
                     while let Some(row) = stream.next_row()? {
                         rows.push(row);
                     }
-                    Ok::<_, Error>(rows)
+                    Ok::<_, Error>((plan.schema().names(), rows))
                 })?;
                 self.rows_returned += rows.len() as u64;
-                Ok(ResultSet { columns: schema.names(), rows, affected: 0 })
+                Ok(ResultSet { columns, rows, affected: 0 })
             }
             Statement::Begin
             | Statement::Commit
@@ -1399,9 +1405,9 @@ impl Database {
         let Statement::Query(q) = st else {
             return Err(Error::Plan("CREATE TABLE AS requires a query".into()));
         };
-        let plan = optimize(plan_query(&q, &self.catalog)?);
-        let depth = plan.depth();
-        with_exec_stack(depth, move || self.create_table_as_exec(name, plan))
+        with_optimized(plan_query(&q, &self.catalog)?, |plan| {
+            self.create_table_as_exec(name, plan)
+        })
     }
 
     /// Execution half of [`Self::create_table_as`] (runs on the execution
@@ -1612,7 +1618,9 @@ impl Database {
         let Statement::Query(q) = st else {
             return Err(Error::Plan("not a query".into()));
         };
-        Ok(plan_query(&q, &self.catalog)?.schema())
+        let plan = plan_query(&q, &self.catalog)?;
+        // Dropping a deep plan recurses once per node.
+        Ok(with_exec_stack(plan.depth(), move || plan.schema()))
     }
 
     /// EXPLAIN-style plan rendering.
@@ -1621,11 +1629,16 @@ impl Database {
         let Statement::Query(q) = st else {
             return Err(Error::Plan("EXPLAIN requires a query".into()));
         };
-        Ok(optimize(plan_query(&q, &self.catalog)?).explain())
+        Ok(with_optimized(plan_query(&q, &self.catalog)?, |plan| plan.explain()))
     }
 
     pub fn table_names(&self) -> Vec<String> {
         self.catalog.table_names()
+    }
+
+    /// Whether a table named `name` exists (case-insensitive).
+    pub fn has_table(&self, name: &str) -> bool {
+        self.catalog.contains(name)
     }
 
     pub fn table_row_count(&self, name: &str) -> Result<usize> {
@@ -1814,6 +1827,25 @@ mod tests {
         assert_eq!(after.statements_executed, before.statements_executed + 1);
         assert_eq!(after.rows_returned, before.rows_returned + 4);
         assert!(after.peak_memory_bytes > 0);
+    }
+
+    #[test]
+    fn deep_cte_chain_runs_on_the_default_test_stack() {
+        // One grouped CTE per link, like the translator's gate chains.
+        // Planning must stay linear, and planning, optimizing, executing and
+        // dropping the ~18,000-node plan must not overflow the test thread's
+        // stack.
+        let mut db = Database::new();
+        db.execute("CREATE TABLE T0 (s INTEGER)").unwrap();
+        db.execute("INSERT INTO T0 VALUES (1), (2)").unwrap();
+        let n = 6000;
+        let ctes: Vec<String> = (1..=n)
+            .map(|k| format!("T{k} AS (SELECT s + 1 AS s FROM T{} GROUP BY s + 1)", k - 1))
+            .collect();
+        let sql = format!("WITH {} SELECT s FROM T{n} ORDER BY s", ctes.join(", "));
+        assert_eq!(db.query_schema(&sql).unwrap().names(), vec!["s"]);
+        let rows = db.execute(&sql).unwrap().into_rows();
+        assert_eq!(rows, vec![vec![Value::Int(n + 1)], vec![Value::Int(n + 2)]]);
     }
 
     #[test]

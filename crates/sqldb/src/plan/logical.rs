@@ -5,8 +5,13 @@
 //! aggregate calls in the projection/`HAVING` with column references), and
 //! produces a tree of [`Plan`] nodes carrying [`BoundExpr`]s that the
 //! executor can run directly.
+//!
+//! Child links are `Arc`s: a reference to a CTE shares the CTE's planned
+//! body instead of copying it, so planning the translator's one-CTE-per-gate
+//! chains is linear in gate count.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::{
     self, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr, TableRef,
@@ -62,32 +67,35 @@ pub struct SortKey {
 }
 
 /// Bound logical plan. Every node knows its output schema.
+///
+/// Children sit behind `Arc`, so a plan may share subtrees (every reference
+/// to one CTE points at the same body); cloning a node is shallow.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Base table scan (snapshot taken at execution time).
     Scan { table: String, schema: RelSchema },
     /// Produces exactly one zero-column row (`SELECT` without `FROM`).
     One,
-    Filter { input: Box<Plan>, predicate: BoundExpr },
-    Project { input: Box<Plan>, exprs: Vec<BoundExpr>, schema: RelSchema },
+    Filter { input: Arc<Plan>, predicate: BoundExpr },
+    Project { input: Arc<Plan>, exprs: Vec<BoundExpr>, schema: RelSchema },
     Join {
-        left: Box<Plan>,
-        right: Box<Plan>,
+        left: Arc<Plan>,
+        right: Arc<Plan>,
         kind: JoinKind,
         on: Option<BoundExpr>,
         schema: RelSchema,
     },
     Aggregate {
-        input: Box<Plan>,
+        input: Arc<Plan>,
         group_by: Vec<BoundExpr>,
         aggs: Vec<AggExpr>,
         schema: RelSchema,
     },
-    Sort { input: Box<Plan>, keys: Vec<SortKey> },
-    Limit { input: Box<Plan>, limit: Option<u64>, offset: u64 },
+    Sort { input: Arc<Plan>, keys: Vec<SortKey> },
+    Limit { input: Arc<Plan>, limit: Option<u64>, offset: u64 },
     UnionAll { inputs: Vec<Plan> },
     /// Renames the qualifier of the input's columns (subquery/CTE alias).
-    Alias { input: Box<Plan>, schema: RelSchema },
+    Alias { input: Arc<Plan>, schema: RelSchema },
 }
 
 impl Plan {
@@ -108,8 +116,8 @@ impl Plan {
     }
 
     /// Height of the plan tree. The translator emits one CTE per gate, so
-    /// this is unbounded; the executor uses it to decide whether the pull
-    /// pipeline needs a dedicated large execution stack.
+    /// this is unbounded; `Database` uses it to decide whether optimizing
+    /// and executing the plan need a dedicated large stack.
     pub fn depth(&self) -> usize {
         1 + match self {
             Plan::Scan { .. } | Plan::One => 0,
@@ -175,30 +183,34 @@ impl Plan {
     }
 }
 
-/// CTE scope: name → already-planned subquery.
-type CteScope = HashMap<String, Plan>;
+/// CTE scope: the CTEs of one `WITH` clause (name → planned `Alias` node),
+/// chained to the scope of the enclosing query. Nothing is copied when a
+/// scope is entered; lookups walk outward, so an inner `WITH` shadows an
+/// outer CTE of the same name.
+struct CteScope<'a> {
+    ctes: HashMap<String, Plan>,
+    outer: Option<&'a CteScope<'a>>,
+}
+
+impl CteScope<'_> {
+    fn get(&self, key: &str) -> Option<&Plan> {
+        self.ctes.get(key).or_else(|| self.outer?.get(key))
+    }
+}
 
 /// Plan a full query against the catalog.
 pub fn plan_query(query: &Query, catalog: &Catalog) -> Result<Plan> {
-    let scope = CteScope::new();
-    plan_query_scoped(query, catalog, &scope)
+    plan_query_scoped(query, catalog, None)
 }
 
-fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Result<Plan> {
-    let mut scope = outer.clone();
+fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: Option<&CteScope>) -> Result<Plan> {
+    let mut scope = CteScope { ctes: HashMap::new(), outer };
     for (name, cte_query) in &query.ctes {
-        let key = name.to_ascii_lowercase();
-        if scope.contains_key(&key) && query.ctes.iter().any(|(n, _)| n.eq_ignore_ascii_case(name))
-        {
-            // Allow shadowing of outer CTEs but not duplicates in this WITH.
-        }
-        let plan = plan_query_scoped(cte_query, catalog, &scope)?;
+        let plan = plan_query_scoped(cte_query, catalog, Some(&scope))?;
         // Make the CTE addressable by its name.
         let schema = plan.schema().with_relation(name);
-        let plan = Plan::Alias { input: Box::new(plan), schema };
-        if scope.insert(key, plan).is_some()
-            && query.ctes.iter().filter(|(n, _)| n.eq_ignore_ascii_case(name)).count() > 1
-        {
+        let plan = Plan::Alias { input: Arc::new(plan), schema };
+        if scope.ctes.insert(name.to_ascii_lowercase(), plan).is_some() {
             return Err(Error::Plan(format!("duplicate CTE name `{name}`")));
         }
     }
@@ -212,11 +224,11 @@ fn plan_query_scoped(query: &Query, catalog: &Catalog, outer: &CteScope) -> Resu
             .iter()
             .map(|item| bind_order_item(item, &schema))
             .collect::<Result<Vec<_>>>()?;
-        plan = Plan::Sort { input: Box::new(plan), keys };
+        plan = Plan::Sort { input: Arc::new(plan), keys };
     }
     if query.limit.is_some() || query.offset.is_some() {
         plan = Plan::Limit {
-            input: Box::new(plan),
+            input: Arc::new(plan),
             limit: query.limit,
             offset: query.offset.unwrap_or(0),
         };
@@ -280,12 +292,13 @@ fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Resul
     match tref {
         TableRef::Named { name, alias } => {
             // CTEs shadow base tables.
+            // Cloning the CTE's `Alias` node shares its planned body.
             if let Some(cte) = scope.get(&name.to_ascii_lowercase()) {
                 let plan = cte.clone();
                 return Ok(match alias {
                     Some(a) => {
                         let schema = plan.schema().with_relation(a);
-                        Plan::Alias { input: Box::new(plan), schema }
+                        Plan::Alias { input: Arc::new(plan), schema }
                     }
                     None => plan,
                 });
@@ -298,9 +311,9 @@ fn plan_table_ref(tref: &TableRef, catalog: &Catalog, scope: &CteScope) -> Resul
             Ok(Plan::Scan { table: table.name().to_string(), schema })
         }
         TableRef::Subquery { query, alias } => {
-            let plan = plan_query_scoped(query, catalog, scope)?;
+            let plan = plan_query_scoped(query, catalog, Some(scope))?;
             let schema = plan.schema().with_relation(alias);
-            Ok(Plan::Alias { input: Box::new(plan), schema })
+            Ok(Plan::Alias { input: Arc::new(plan), schema })
         }
     }
 }
@@ -330,8 +343,8 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
                 None => None,
             };
             let swapped = Plan::Join {
-                left: Box::new(right),
-                right: Box::new(plan),
+                left: Arc::new(right),
+                right: Arc::new(plan),
                 kind: JoinKind::Left,
                 on,
                 schema: swapped_schema,
@@ -341,7 +354,7 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
                 .map(BoundExpr::Column)
                 .collect();
             plan = Plan::Project {
-                input: Box::new(swapped),
+                input: Arc::new(swapped),
                 exprs,
                 schema: left_schema.join(&right_schema),
             };
@@ -353,8 +366,8 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
             None => None,
         };
         plan = Plan::Join {
-            left: Box::new(plan),
-            right: Box::new(right),
+            left: Arc::new(plan),
+            right: Arc::new(right),
             kind: join.kind,
             on,
             schema,
@@ -367,7 +380,7 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
             return Err(Error::Plan("aggregates are not allowed in WHERE".into()));
         }
         let predicate = bind(w, &plan.schema())?;
-        plan = Plan::Filter { input: Box::new(plan), predicate };
+        plan = Plan::Filter { input: Arc::new(plan), predicate };
     }
 
     // Expand wildcards in the projection.
@@ -419,14 +432,14 @@ fn plan_select(select: &Select, catalog: &Catalog, scope: &CteScope) -> Result<P
         (plan, exprs, RelSchema::new(fields))
     };
 
-    plan = Plan::Project { input: Box::new(plan), exprs: proj_exprs, schema: proj_schema };
+    plan = Plan::Project { input: Arc::new(plan), exprs: proj_exprs, schema: proj_schema };
 
     if select.distinct {
         // DISTINCT ≡ GROUP BY all output columns with no aggregates; this
         // reuses the aggregation operator's spill machinery for free.
         let schema = plan.schema();
         let group_by = (0..schema.len()).map(BoundExpr::Column).collect();
-        plan = Plan::Aggregate { input: Box::new(plan), group_by, aggs: vec![], schema };
+        plan = Plan::Aggregate { input: Arc::new(plan), group_by, aggs: vec![], schema };
     }
 
     Ok(plan)
@@ -477,7 +490,7 @@ fn plan_aggregate(
     let aggs = collected.into_iter().map(|(_, a)| a).collect();
 
     let mut plan = Plan::Aggregate {
-        input: Box::new(input),
+        input: Arc::new(input),
         group_by: group_bound,
         aggs,
         schema: agg_schema.clone(),
@@ -485,7 +498,7 @@ fn plan_aggregate(
 
     if let Some(h) = rewritten_having {
         let predicate = bind(&h, &agg_schema)?;
-        plan = Plan::Filter { input: Box::new(plan), predicate };
+        plan = Plan::Filter { input: Arc::new(plan), predicate };
     }
 
     let mut exprs = Vec::with_capacity(rewritten_items.len());
@@ -727,6 +740,49 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(p, Plan::Sort { .. }));
+    }
+
+    #[test]
+    fn cte_referenced_twice_shares_its_body() {
+        let p = plan("WITH a AS (SELECT s FROM T0) SELECT * FROM a JOIN a AS b ON a.s = b.s")
+            .unwrap();
+        let Plan::Project { input, .. } = &p else { panic!("expected project") };
+        let Plan::Join { left, right, .. } = input.as_ref() else {
+            panic!("expected join, got {}", p.explain())
+        };
+        // `a` is the CTE's alias node; `a AS b` re-aliases that node.
+        let Plan::Alias { input: left_body, .. } = left.as_ref() else { panic!("left alias") };
+        let Plan::Alias { input: renamed, .. } = right.as_ref() else { panic!("right alias") };
+        let Plan::Alias { input: right_body, .. } = renamed.as_ref() else {
+            panic!("right CTE alias")
+        };
+        assert!(Arc::ptr_eq(left_body, right_body), "both join sides share one CTE body");
+    }
+
+    #[test]
+    fn duplicate_cte_in_one_with_rejected() {
+        let e = plan("WITH a AS (SELECT s FROM T0), a AS (SELECT s FROM T0) SELECT s FROM a")
+            .unwrap_err();
+        assert!(matches!(e, Error::Plan(m) if m.contains("duplicate CTE name")));
+    }
+
+    #[test]
+    fn inner_with_shadows_outer_cte() {
+        // The inner `a` (one column from H) hides the outer `a` (three from T0).
+        let p = plan(
+            "WITH a AS (SELECT s, r, i FROM T0) \
+             SELECT * FROM (WITH a AS (SELECT in_s FROM H) SELECT * FROM a) AS u",
+        )
+        .unwrap();
+        assert_eq!(p.schema().names(), vec!["in_s"]);
+        // Outside the subquery the outer `a` is still visible.
+        let p = plan(
+            "WITH a AS (SELECT s, r, i FROM T0) \
+             SELECT a.s FROM a JOIN (WITH a AS (SELECT in_s FROM H) SELECT * FROM a) AS u \
+             ON u.in_s = a.s",
+        )
+        .unwrap();
+        assert_eq!(p.schema().names(), vec!["s"]);
     }
 
     #[test]

@@ -210,6 +210,7 @@ impl SqlSimulator {
                 for (k, op) in ops.iter().enumerate() {
                     let (next, select) =
                         step_statement(k, op, circuit.num_qubits, &self.config.sqlgen);
+                    drop_stale(&mut db, &next)?;
                     db.create_table_as(&next, &select).map_err(map_sql_error)?;
                     db.drop_table_if_exists(&state_table_name(k)).map_err(map_sql_error)?;
                 }
@@ -252,11 +253,22 @@ impl SqlSimulator {
         states.push(read(&mut db, "T0")?);
         for (k, op) in ops.iter().enumerate() {
             let (next, select) = step_statement(k, op, circuit.num_qubits, &self.config.sqlgen);
+            drop_stale(&mut db, &next)?;
             db.create_table_as(&next, &select).map_err(map_sql_error)?;
             states.push(read(&mut db, &next)?);
         }
         Ok(states)
     }
+}
+
+/// Drop a state table an earlier run on the same `db_path` left behind, so
+/// the CTAS that recreates it cannot fail with "already exists". A fresh
+/// database issues no statement, so its statement count does not move.
+fn drop_stale(db: &mut Database, name: &str) -> Result<(), SimError> {
+    if db.has_table(name) {
+        db.drop_table_if_exists(name).map_err(map_sql_error)?;
+    }
+    Ok(())
 }
 
 fn rows_to_amplitudes(rows: Vec<Vec<Value>>) -> Result<Vec<SqlAmplitude>, SimError> {
@@ -401,6 +413,25 @@ mod tests {
         .simulate(&c, &SimOptions::default())
         .unwrap();
         assert!(single.max_amplitude_diff(&stepped) < TOL);
+    }
+
+    #[test]
+    fn step_mode_reruns_on_one_db_path() {
+        // A run leaves its final state table behind; a second run on the
+        // same directory must replace it, not fail on "already exists".
+        let dir = std::env::temp_dir().join(format!("qymera-rerun-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sim = SqlSimulator::new(SqlSimConfig {
+            mode: ExecMode::StepTables,
+            db_path: Some(dir.clone()),
+            ..Default::default()
+        });
+        let first = sim.run(&library::ghz(3)).unwrap();
+        let second = sim.run(&library::ghz(3)).unwrap();
+        assert_eq!(first.amplitudes, second.amplitudes);
+        let traced = sim.run_trace(&library::ghz(3)).unwrap();
+        assert_eq!(sim.run_trace(&library::ghz(3)).unwrap(), traced);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -103,3 +103,19 @@ fn circuit_inverse_composition_is_identity_on_all_backends() {
         }
     }
 }
+
+/// A 2,000-gate circuit as one CTE chain: planning must stay linear in gate
+/// count (super-linear planning would not finish in test time), and the deep
+/// plan must be optimized, executed and dropped without overflowing the
+/// default test-thread stack.
+#[test]
+fn long_single_query_chain_agrees_with_oracle() {
+    use qymera::translate::{ExecMode, SqlSimConfig, SqlSimulator};
+    let circuit = library::random_circuit(6, 2000, 5);
+    let oracle = StateVectorSim.simulate(&circuit, &SimOptions::default()).unwrap();
+    let sim =
+        SqlSimulator::new(SqlSimConfig { mode: ExecMode::SingleQuery, ..Default::default() });
+    let out = sim.simulate(&circuit, &SimOptions::default()).unwrap();
+    let diff = out.max_amplitude_diff(&oracle);
+    assert!(diff < 1e-7, "2000-gate chain differs from oracle by {diff}");
+}
